@@ -4,10 +4,12 @@
 // (1/4/16 vertex-range shards) quantifying what the sharded serving
 // layout costs the query path, and facade-vs-SpcService rows pricing the
 // typed serving API (validation + consistency routing, DESIGN.md §9)
-// against direct facade calls. Two performance-layer sweeps ride along
-// (DESIGN.md §15): a merge-kernel tier sweep (scalar / SWAR / AVX2, each
-// forced explicitly, on full queries and on a synthetic tail-only
-// intersection) and a hot-pair-cache row measured under Zipf-skewed
+// against direct facade calls, plus a snapshot-pin row (ns per owning
+// Pin() and per query-path lease, at 1 and 4 threads). Two
+// performance-layer sweeps ride along (DESIGN.md §15): a merge-kernel
+// tier sweep (scalar / SWAR / AVX2, each forced explicitly, on full
+// queries and on a synthetic tail-only intersection) and a
+// hot-pair-cache row measured under Zipf-skewed
 // pairs regardless of --query-dist, so the checked-in JSON always
 // carries the cache hit rate skewed traffic would see. Emits a human
 // table on stdout and machine-readable JSON (BENCH_query_throughput.json,
@@ -345,6 +347,57 @@ int main(int argc, char** argv) {
     }
   });
 
+  // Snapshot pin row (DESIGN.md §7): ns per owning Pin() and per
+  // query-path lease (AcquireSnapshot at the current generation, the
+  // call SpcService::Query makes), with 1 and 4 threads hammering the
+  // same manager at once. Best of `reps`; each rep averages its threads.
+  struct PinRow {
+    const char* op;
+    unsigned threads;
+    double ns;
+  };
+  std::vector<PinRow> pin_rows;
+  {
+    const SnapshotManager* sm = dyn.snapshots();
+    const uint64_t pin_gen = dyn.Generation();
+    const size_t pin_ops = 1000000;
+    for (const bool lease : {false, true}) {
+      for (const unsigned nthreads : {1u, 4u}) {
+        double best = 0.0;
+        for (int r = 0; r < reps; ++r) {
+          std::vector<double> ns(nthreads);
+          std::vector<uint64_t> sinks(nthreads);
+          std::vector<std::thread> workers;
+          for (unsigned i = 0; i < nthreads; ++i) {
+            workers.emplace_back([&, i] {
+              uint64_t g = 0;
+              Stopwatch watch;
+              for (size_t k = 0; k < pin_ops; ++k) {
+                if (lease) {
+                  SnapshotManager::Lease held;
+                  dyn.AcquireSnapshot(pin_gen, 1, &held);
+                  g += held.generation();
+                } else {
+                  g += sm->Pin().generation;
+                }
+              }
+              ns[i] = watch.ElapsedSeconds() * 1e9 / pin_ops;
+              sinks[i] = g;
+            });
+          }
+          for (std::thread& w : workers) w.join();
+          double mean = 0.0;
+          for (unsigned i = 0; i < nthreads; ++i) {
+            mean += ns[i] / nthreads;
+            sink += sinks[i];
+          }
+          if (r == 0 || mean < best) best = mean;
+        }
+        pin_rows.push_back({lease ? "lease" : "pin", nthreads, best});
+      }
+    }
+  }
+
   // Hot-pair cache row (DESIGN.md §15): always measured under
   // Zipf-skewed pairs — even when the headline rows ran uniform — so the
   // checked-in JSON carries the hit rate skewed production traffic would
@@ -430,6 +483,14 @@ int main(int argc, char** argv) {
     std::printf("%-16s (%2zu) %14.0f %9.2fx  (batch %.0f, parallel %.0f)\n",
                 "sharded arena", row.shards, row.flat_qps,
                 row.flat_qps / legacy_qps, row.batch_qps, row.parallel_qps);
+  }
+
+  std::printf("\n%-22s %14s\n", "snapshot pin", "ns/op");
+  bench::PrintRule(3);
+  for (const PinRow& row : pin_rows) {
+    const std::string label =
+        std::string(row.op) + " x" + std::to_string(row.threads);
+    std::printf("%-22s %14.1f\n", label.c_str(), row.ns);
   }
 
   const double scalar_tail = kernel_sweep[0].tail_merges_per_sec;
@@ -549,6 +610,15 @@ int main(int argc, char** argv) {
                  "\"parallel_qps\": %.0f}\n",
                  i == 0 ? "" : ",", row.shards, row.effective, row.flat_qps,
                  row.batch_qps, row.parallel_qps);
+  }
+  std::fprintf(json,
+               "  ],\n"
+               "  \"snapshot_pin\": [\n");
+  for (size_t i = 0; i < pin_rows.size(); ++i) {
+    std::fprintf(json, "    %s{\"op\": \"%s\", \"threads\": %u, "
+                 "\"ns_per_op\": %.1f}\n",
+                 i == 0 ? "" : ",", pin_rows[i].op, pin_rows[i].threads,
+                 pin_rows[i].ns);
   }
   std::fprintf(json,
                "  ],\n"

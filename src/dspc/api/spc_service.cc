@@ -303,7 +303,7 @@ Status SpcService::ValidateVertex(Vertex v, const char* what) const {
 Status SpcService::RouteSnapshotRead(const ReadOptions& options,
                                      size_t queries, Vertex max_vertex,
                                      uint64_t gen,
-                                     SnapshotManager::Pinned* pin) const {
+                                     SnapshotManager::Lease* lease) const {
   // With snapshots disabled no publish can ever happen: that is a
   // configuration error, not a transient one — kUnavailable would invite
   // a retry loop that can never succeed.
@@ -312,16 +312,17 @@ Status SpcService::RouteSnapshotRead(const ReadOptions& options,
         "kSnapshot reads need snapshots enabled on this service "
         "(SnapshotOptions::enabled)");
   }
-  // Never block: pin whatever is published. Under kBackground the pin
-  // still charges the staleness budget so the worker keeps the snapshot
-  // converging even for pure-snapshot workloads; under kSync/kManual
-  // Acquire could rebuild inline or withhold a stale pin, so take the
-  // raw (free) pin instead.
-  const bool background =
-      engine_.snapshots()->policy() == RefreshPolicy::kBackground;
-  *pin = background ? engine_.AcquireSnapshot(gen, queries)
-                    : engine_.PinSnapshot();
-  if (!*pin) {
+  // Never block: lease whatever is published. Under kBackground the
+  // lease still charges the staleness budget so the worker keeps the
+  // snapshot converging even for pure-snapshot workloads; under
+  // kSync/kManual Acquire could rebuild inline or withhold a stale
+  // snapshot, so take the free borrow instead.
+  if (engine_.snapshots()->policy() == RefreshPolicy::kBackground) {
+    engine_.AcquireSnapshot(gen, queries, lease);
+  } else {
+    engine_.BorrowSnapshot(lease);
+  }
+  if (!*lease) {
     // Under kSync/kManual nothing publishes until some other traffic does
     // (a budget-crossing kFresh read, or an explicit refresh), so a pure
     // kSnapshot client must warm the snapshot once — say so instead of
@@ -331,25 +332,25 @@ Status SpcService::RouteSnapshotRead(const ReadOptions& options,
         "WaitForSnapshot({Generation()}) first (under kSync, kFresh "
         "traffic also publishes eventually)");
   }
-  if (pin->generation < options.min_generation) {
+  if (lease->generation() < options.min_generation) {
     return Status::Unavailable(
         "published snapshot at generation " +
-        std::to_string(pin->generation) + " trails min_generation " +
+        std::to_string(lease->generation()) + " trails min_generation " +
         std::to_string(options.min_generation) +
         "; retry, WaitForSnapshot, or relax to kFresh");
   }
-  if (max_vertex >= (*pin)->NumVertices()) {
+  if (max_vertex >= (*lease)->NumVertices()) {
     return Status::Unavailable(
         "published snapshot predates vertex " + std::to_string(max_vertex) +
         "; retry after the next refresh or relax to kFresh");
   }
-  engine_.YieldForMaintenance(gen, pin->generation);
+  engine_.YieldForMaintenance(gen, lease->generation());
   return Status::OK();
 }
 
 Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
                              Vertex max_vertex, uint64_t* generation,
-                             SnapshotManager::Pinned* pin) const {
+                             SnapshotManager::Lease* lease) const {
   const uint64_t gen = engine_.Generation();
   *generation = gen;
   if (options.min_generation > gen) [[unlikely]] {
@@ -358,7 +359,7 @@ Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
   }
 
   if (options.consistency == Consistency::kSnapshot) {
-    Status st = RouteSnapshotRead(options, queries, max_vertex, gen, pin);
+    Status st = RouteSnapshotRead(options, queries, max_vertex, gen, lease);
     if (!st.ok()) [[unlikely]] {
       metrics_.RecordRejected(st.code());
     }
@@ -366,39 +367,38 @@ Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
   }
 
   // kFresh / kBoundedStaleness: acquire (budget-charging, so rebuilds
-  // keep getting scheduled), serve the pin when it satisfies the mode's
+  // keep getting scheduled), serve the lease when it satisfies the mode's
   // bound, ride the live index otherwise — which is current by
   // definition and therefore satisfies any valid min_generation and any
   // lag bound.
-  SnapshotManager::Pinned acquired;
   if (options.timeout >= std::chrono::nanoseconds::zero() &&
       engine_.options().snapshot.enabled &&
       engine_.snapshots()->policy() == RefreshPolicy::kSync) [[unlikely]] {
     // Under kSync a budget-crossing Acquire rebuilds inline — an
     // unbounded wait on the writer lock inside the snapshot source. A
     // deadline-bounded read must never perform maintenance: take the
-    // free pin (serving it only if it satisfies the mode below) and
+    // free borrow (serving it only if it satisfies the mode below) and
     // leave the inline rebuild to the next untimed read — but still
     // charge the staleness budget, so an all-timed workload keeps the
     // rebuild due instead of pinning staleness forever.
-    acquired = engine_.PinSnapshot();
-    if (!acquired || acquired.generation < gen) {
+    engine_.BorrowSnapshot(lease);
+    if (!*lease || lease->generation() < gen) {
       engine_.ChargeSnapshotBudget(queries);
     }
   } else {
-    acquired = engine_.AcquireSnapshot(gen, queries);
+    engine_.AcquireSnapshot(gen, queries, lease);
   }
-  if (acquired && max_vertex < acquired->NumVertices()) {
-    if (acquired.generation >= gen ||
-        (options.consistency == Consistency::kBoundedStaleness &&
-         gen - acquired.generation <= options.max_lag &&
-         acquired.generation >= options.min_generation)) {
-      // Same pacing as the engine's own query path: every snapshot-served
-      // read donates a timeslice while a writer is mid-update (or the
-      // snapshot trails too far), current pin or not.
-      engine_.YieldForMaintenance(gen, acquired.generation);
-      *pin = std::move(acquired);
-    }
+  if (*lease && max_vertex < (*lease)->NumVertices() &&
+      (lease->generation() >= gen ||
+       (options.consistency == Consistency::kBoundedStaleness &&
+        gen - lease->generation() <= options.max_lag &&
+        lease->generation() >= options.min_generation))) {
+    // Same pacing as the engine's own query path: every snapshot-served
+    // read donates a timeslice while a writer is mid-update (or the
+    // snapshot trails too far), current lease or not.
+    engine_.YieldForMaintenance(gen, lease->generation());
+  } else {
+    lease->Release();
   }
   return Status::OK();
 }
@@ -417,37 +417,31 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
 
   const LatencyTimer timer(SampleReadLatency());
   uint64_t generation = 0;
-  SnapshotManager::Pinned pin;
-  if (Status st = RouteRead(options, 1, std::max(s, t), &generation, &pin);
+  SnapshotManager::Lease lease;
+  if (Status st = RouteRead(options, 1, std::max(s, t), &generation, &lease);
       !st.ok()) [[unlikely]] {
     return st;
   }
 
   // Responses are built fully formed in the return slot (no default
   // construction + field-by-field overwrite): this path runs per query.
-  if (pin) {
-    const uint64_t staleness =
-        generation > pin.generation ? generation - pin.generation : 0;
+  if (lease) {
+    const uint64_t served = lease.generation();
+    const uint64_t staleness = generation > served ? generation - served : 0;
     metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot,
                         staleness, 1, false);
     // Hot-pair cache (DESIGN.md §15): keyed by the generation of the
     // snapshot that is ABOUT to serve this read, so a hit is by
     // construction the exact answer that snapshot would compute —
     // min_generation / token semantics were already enforced by
-    // RouteRead when it picked the pin. A miss computes and caches.
-    if (pair_cache_ != nullptr) {
-      SpcResult cached;
-      if (!pair_cache_->Lookup(s, t, pin.generation, &cached)) {
-        cached = pin->Query(s, t);
-        pair_cache_->Insert(s, t, pin.generation, cached);
-      }
-      StatusOr<QueryResponse> out(std::in_place, cached, pin.generation,
-                                  staleness, ServedFrom::kSnapshot);
-      timer.Finish(&metrics_, options.consistency);
-      return out;
+    // RouteRead when it picked the lease. A miss computes and caches.
+    SpcResult result;
+    if (pair_cache_ == nullptr ||
+        !pair_cache_->Lookup(s, t, served, &result)) {
+      result = lease->Query(s, t);
+      if (pair_cache_ != nullptr) pair_cache_->Insert(s, t, served, result);
     }
-    StatusOr<QueryResponse> out(std::in_place, pin->Query(s, t),
-                                pin.generation, staleness,
+    StatusOr<QueryResponse> out(std::in_place, result, served, staleness,
                                 ServedFrom::kSnapshot);
     timer.Finish(&metrics_, options.consistency);
     return out;
@@ -497,16 +491,16 @@ StatusOr<BatchQueryResponse> SpcService::QueryBatch(
   // Batches always time: the call amortizes the two clock reads.
   const LatencyTimer timer(true);
   uint64_t generation = 0;
-  SnapshotManager::Pinned pin;
+  SnapshotManager::Lease lease;
   if (Status st =
-          RouteRead(options, pairs.size(), max_vertex, &generation, &pin);
+          RouteRead(options, pairs.size(), max_vertex, &generation, &lease);
       !st.ok()) {
     return st;
   }
 
   const bool timed = options.timeout >= std::chrono::nanoseconds::zero();
   StatusOr<BatchQueryResponse> out(std::in_place);
-  if (pin) {
+  if (lease) {
     // Batches bypass the pair cache deliberately: the parallel fan-out
     // below would serialize on the cache's shard locks, and batch
     // traffic has none of the single-read repetition the cache exists
@@ -517,12 +511,13 @@ StatusOr<BatchQueryResponse> SpcService::QueryBatch(
     // writer or void the deadline contract (which bounds the
     // writer-lock wait only) — timed and untimed batches alike use the
     // shared pool: no per-batch thread spawns on the serving path.
-    out->results = pin->QueryManyParallel(
+    out->results = lease->QueryManyParallel(
         pairs, options.threads,
         engine_.PoolForBatch(pairs.size(), options.threads));
-    out->generation = pin.generation;
-    out->staleness =
-        generation > pin.generation ? generation - pin.generation : 0;
+    out->generation = lease.generation();
+    out->staleness = generation > lease.generation()
+                         ? generation - lease.generation()
+                         : 0;
     out->served_from = ServedFrom::kSnapshot;
   } else {
     if (timed) [[unlikely]] {

@@ -209,7 +209,7 @@ struct QueryResponse {
   SpcResult result;
 
   /// Structural generation the answer reflects. Exact for both serving
-  /// paths: snapshot-served answers carry the pin's generation, and
+  /// paths: snapshot-served answers carry the lease's generation, and
   /// live-served answers re-read the generation under the engine's
   /// shared lock (so a write that completed while the read waited for
   /// the lock is reflected in both the answer and this field).
@@ -471,21 +471,21 @@ class SpcService {
 
  private:
   /// Shared read-routing: resolves which source should serve a read of
-  /// `queries` queries under `options`. On OK, *pin names the snapshot to
-  /// serve (empty => the live index) and *generation holds the admission
-  /// generation. Out-params instead of a StatusOr<struct>, and forced
+  /// `queries` queries under `options`. On OK, *lease holds the snapshot
+  /// to serve (empty => the live index) and *generation holds the
+  /// admission generation. Out-params instead of a StatusOr<struct>, and forced
   /// inlining into its two callers, keep the single-query hot path free
   /// of wrapper construction and call overhead while the routing logic
   /// stays written exactly once.
   [[gnu::always_inline]] inline Status RouteRead(
       const ReadOptions& options, size_t queries, Vertex max_vertex,
-      uint64_t* generation, SnapshotManager::Pinned* pin) const;
+      uint64_t* generation, SnapshotManager::Lease* lease) const;
 
   /// kSnapshot routing (the only mode with refusal outcomes), split out
   /// so RouteRead's hot path stays small.
   Status RouteSnapshotRead(const ReadOptions& options, size_t queries,
                            Vertex max_vertex, uint64_t generation,
-                           SnapshotManager::Pinned* pin) const;
+                           SnapshotManager::Lease* lease) const;
 
   Status ValidateVertex(Vertex v, const char* what) const;
 

@@ -289,10 +289,11 @@ bool DynamicSpcIndex::QueryLiveBefore(
 SpcResult DynamicSpcIndex::Query(Vertex s, Vertex t) const {
   if (options_.snapshot.enabled) {
     const uint64_t generation = Generation();
-    const auto pin = snapshots_->Acquire(generation, 1);
-    if (Covers(pin, s, t)) {
-      YieldForMaintenance(generation, pin.generation);
-      return pin->Query(s, t);
+    SnapshotManager::Lease lease;
+    snapshots_->Acquire(generation, 1, &lease);
+    if (Covers(lease, s, t)) {
+      YieldForMaintenance(generation, lease.generation());
+      return lease->Query(s, t);
     }
   }
   return QueryLive(s, t);
@@ -372,15 +373,18 @@ std::vector<SpcResult> DynamicSpcIndex::BatchQuery(
     unsigned threads) const {
   if (options_.snapshot.enabled) {
     const uint64_t generation = Generation();
-    const auto pin = snapshots_->Acquire(generation, pairs.size());
+    SnapshotManager::Lease lease;
+    snapshots_->Acquire(generation, pairs.size(), &lease);
     const bool covers_all =
-        pin && std::all_of(pairs.begin(), pairs.end(), [&](const auto& p) {
-          return Covers(pin, p.first, p.second);
+        lease && std::all_of(pairs.begin(), pairs.end(), [&](const auto& p) {
+          return Covers(lease, p.first, p.second);
         });
     if (covers_all) {
-      YieldForMaintenance(generation, pin.generation);
-      return pin->QueryManyParallel(pairs, threads,
-                                    PoolForBatch(pairs.size(), threads));
+      // The pool's workers read the leased index while this thread waits
+      // in the fork-join region, so the lease outlives every use.
+      YieldForMaintenance(generation, lease.generation());
+      return lease->QueryManyParallel(pairs, threads,
+                                      PoolForBatch(pairs.size(), threads));
     }
   }
   return BatchQueryLive(pairs, threads);

@@ -21,8 +21,10 @@
 // added vertices receive the lowest ranks.
 //
 // Concurrency model (DESIGN.md §7): queries are served from immutable
-// FlatSpcIndex snapshots published by a SnapshotManager; readers pin the
-// current snapshot with one atomic load and never block on maintenance.
+// FlatSpcIndex snapshots published by a SnapshotManager; a query leases
+// the current snapshot from its thread's snapshot cache (no atomic
+// read-modify-write while the published generation is unchanged) and
+// never blocks on maintenance.
 // The mutable graph/index pair is guarded by a shared mutex — updates
 // take it exclusively, snapshot copies and the (rare) mutable-index query
 // fallback take it shared — so any number of reader threads may run
@@ -296,21 +298,25 @@ class DynamicSpcIndex {
                             std::vector<SpcResult>* out,
                             uint64_t* generation = nullptr) const;
 
-  /// The query-path snapshot acquisition: pins the published snapshot and
-  /// charges `queries` observations against the staleness budget, which
-  /// is what schedules (kBackground) or performs (kSync, after the budget)
-  /// rebuilds. Empty when the caller should ride the mutable index — or
-  /// when snapshots are disabled. The two-argument form takes a
-  /// generation the caller already loaded (hot-path: skips one atomic
-  /// read); both are header-inline because they sit on every service
-  /// query.
-  SnapshotManager::Pinned AcquireSnapshot(size_t queries) const {
-    return AcquireSnapshot(Generation(), queries);
+  /// The query-path snapshot acquisition: leases the published snapshot
+  /// into `lease` and charges `queries` observations against the
+  /// staleness budget, which is what schedules (kBackground) or performs
+  /// (kSync, after the budget) rebuilds. Left empty when the caller
+  /// should ride the mutable index — or when snapshots are disabled.
+  /// `current_generation` is a generation the caller already loaded.
+  /// Header-inline because it sits on every service query.
+  void AcquireSnapshot(uint64_t current_generation, size_t queries,
+                       SnapshotManager::Lease* lease) const {
+    if (options_.snapshot.enabled) {
+      snapshots_->Acquire(current_generation, queries, lease);
+    }
   }
-  SnapshotManager::Pinned AcquireSnapshot(uint64_t current_generation,
-                                          size_t queries) const {
-    if (!options_.snapshot.enabled) return {};
-    return snapshots_->Acquire(current_generation, queries);
+
+  /// Leases the currently published snapshot without charging the
+  /// staleness budget or triggering any rebuild (the call-scoped form of
+  /// PinSnapshot). Empty before the first publish.
+  void BorrowSnapshot(SnapshotManager::Lease* lease) const {
+    snapshots_->Borrow(lease);
   }
 
   /// Charges the staleness budget without any rebuild risk (see
@@ -398,10 +404,9 @@ class DynamicSpcIndex {
 
   /// True when the published flat snapshot reflects the current
   /// generation.
-  bool SnapshotFresh() const {
-    return snapshots_->FreshAt(Generation()) &&
-           static_cast<bool>(snapshots_->Pin());
-  }
+  /// The engine generation starts at 1, so a match can never be the
+  /// manager's "nothing published" 0.
+  bool SnapshotFresh() const { return snapshots_->FreshAt(Generation()); }
 
   /// How many times the flat snapshot has been (re)built.
   size_t SnapshotRebuilds() const { return snapshots_->Rebuilds(); }
@@ -494,11 +499,12 @@ class DynamicSpcIndex {
   FlatSpcIndex::IndexDelta CopyDeltaForSnapshot(
       const FlatSpcIndex* prev) const;
 
-  /// True when the pinned snapshot covers both endpoints — a stale
+  /// True when the leased snapshot covers both endpoints — a stale
   /// snapshot predates vertices added after it was built, and those
   /// queries must ride the mutable index.
-  static bool Covers(const SnapshotManager::Pinned& pin, Vertex s, Vertex t) {
-    return pin && s < pin->NumVertices() && t < pin->NumVertices();
+  static bool Covers(const SnapshotManager::Lease& lease, Vertex s,
+                     Vertex t) {
+    return lease && s < lease->NumVertices() && t < lease->NumVertices();
   }
 
   /// Shared body of BatchQueryLive/BatchQueryLiveBefore; the caller holds

@@ -8,13 +8,32 @@
 
 namespace dspc {
 
+namespace {
+
+std::atomic<uint64_t> next_manager_id{1};
+
+}  // namespace
+
+/// A thread's snapshot cache: the slots plus the round-robin eviction
+/// cursor. Destroyed at thread exit, dropping whatever it still caches.
+struct SnapshotManager::ThreadCache {
+  CacheSlot slots[kCacheSlots];
+  size_t next_victim = 0;
+};
+
+SnapshotManager::ThreadCache& SnapshotManager::LocalCache() {
+  thread_local ThreadCache cache;
+  return cache;
+}
+
 SnapshotManager::SnapshotManager(Source source, RefreshPolicy policy,
                                  size_t stale_query_budget,
                                  unsigned rebuild_threads)
     : source_(std::move(source)),
       policy_(policy),
       stale_query_budget_(stale_query_budget),
-      rebuild_threads_(rebuild_threads) {}
+      rebuild_threads_(rebuild_threads),
+      id_(next_manager_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 SnapshotManager::~SnapshotManager() {
   {
@@ -23,6 +42,10 @@ SnapshotManager::~SnapshotManager() {
   }
   work_cv_.notify_all();
   if (worker_.joinable()) worker_.join();
+  // Cache slots still naming this manager can never validate again (the
+  // id is never reused); they go on eviction or at thread exit. They are
+  // not cleared here: a manager destroyed during static destruction would
+  // find this thread's cache already gone.
 }
 
 SnapshotManager::Pinned SnapshotManager::PinOf(
@@ -34,28 +57,96 @@ SnapshotManager::Pinned SnapshotManager::PinOf(
   return {std::shared_ptr<const FlatSpcIndex>(v, &v->flat), v->generation};
 }
 
-SnapshotManager::Pinned SnapshotManager::Pin() const {
-  return PinOf(published_.load(std::memory_order_acquire));
+SnapshotManager::CacheSlot* SnapshotManager::CurrentSlot() const {
+  ThreadCache& cache = LocalCache();
+  // Publication is strictly monotone, so (id_, generation) names exactly
+  // one snapshot: a slot whose generation is the published one holds the
+  // published snapshot (or, in the instant between Publish's swap and
+  // its generation store, its predecessor — a read ordered just before
+  // the publish).
+  const uint64_t gen = published_generation_.load(std::memory_order_acquire);
+  CacheSlot* victim = nullptr;
+  for (CacheSlot& slot : cache.slots) {
+    if (slot.manager != id_) continue;
+    if (slot.generation == gen && slot.snapshot != nullptr) return &slot;
+    if (slot.leases == 0) victim = &slot;
+  }
+  std::shared_ptr<const Versioned> snap = LoadPublished();
+  if (snap == nullptr) return nullptr;
+  if (victim == nullptr) {
+    // A leased slot is never refreshed or evicted: its lease borrowed the
+    // snapshot it holds.
+    for (size_t i = 0; i < kCacheSlots && victim == nullptr; ++i) {
+      if (cache.slots[i].manager == 0) victim = &cache.slots[i];
+    }
+    for (size_t i = 0; i < kCacheSlots && victim == nullptr; ++i) {
+      CacheSlot& slot = cache.slots[(cache.next_victim + i) % kCacheSlots];
+      if (slot.leases == 0) {
+        victim = &slot;
+        cache.next_victim = (cache.next_victim + i + 1) % kCacheSlots;
+      }
+    }
+    if (victim == nullptr) return nullptr;
+  }
+  victim->manager = id_;
+  victim->generation = snap->generation;
+  victim->snapshot = std::move(snap);  // drops the slot's previous snapshot
+  return victim;
 }
 
-SnapshotManager::Pinned SnapshotManager::Acquire(uint64_t current_generation,
-                                                 size_t queries) {
-  const Pinned cur = Pin();
-  if (cur && cur.generation == current_generation) return cur;
+std::shared_ptr<const SnapshotManager::Versioned>
+SnapshotManager::LoadPublished() const {
+  std::lock_guard<std::mutex> lock(published_mu_);
+  return published_;
+}
+
+void SnapshotManager::Hold(Pinned pin, Lease* lease) {
+  lease->index_ = pin.snapshot.get();
+  lease->generation_ = pin.generation;
+  lease->owned_ = std::move(pin.snapshot);
+}
+
+SnapshotManager::Pinned SnapshotManager::Pin() const {
+  if (const CacheSlot* slot = CurrentSlot()) return PinOf(slot->snapshot);
+  return PinOf(LoadPublished());
+}
+
+void SnapshotManager::Borrow(Lease* lease) const {
+  lease->Release();
+  CacheSlot* slot = CurrentSlot();
+  if (slot == nullptr) {
+    Hold(PinOf(LoadPublished()), lease);
+    return;
+  }
+  ++slot->leases;
+  lease->manager_ = this;
+  lease->slot_ = slot;
+  lease->index_ = &slot->snapshot->flat;
+  lease->generation_ = slot->generation;
+}
+
+void SnapshotManager::Acquire(uint64_t current_generation, size_t queries,
+                              Lease* lease) {
+  Borrow(lease);
+  if (*lease && lease->generation() == current_generation) return;
 
   switch (policy_) {
     case RefreshPolicy::kManual:
       // Stale (or nothing published): the caller rides the mutable index;
       // only explicit refreshes publish.
-      return {};
+      lease->Release();
+      return;
 
     case RefreshPolicy::kSync: {
+      bool rebuild = false;
       {
         std::lock_guard<std::mutex> lock(state_mu_);
         stale_queries_ += queries;
-        if (stale_queries_ < stale_query_budget_) return {};
+        rebuild = stale_queries_ >= stale_query_budget_;
       }
-      return RefreshNow(current_generation);
+      lease->Release();
+      if (rebuild) Hold(RefreshNow(current_generation), lease);
+      return;
     }
 
     case RefreshPolicy::kBackground: {
@@ -69,13 +160,13 @@ SnapshotManager::Pinned SnapshotManager::Acquire(uint64_t current_generation,
         }
       }
       if (request) RequestRebuild(current_generation);
-      // Serve the pinned snapshot even though it is stale — bounded
+      // Serve the leased snapshot even though it is stale — bounded
       // staleness is the policy's contract. Empty only before the first
       // publish (the facade publishes eagerly at construction).
-      return cur;
+      return;
     }
   }
-  return {};
+  lease->Release();
 }
 
 void SnapshotManager::ChargeOnly(size_t queries) {
@@ -148,8 +239,7 @@ std::shared_ptr<const SnapshotManager::Versioned>
 SnapshotManager::BuildFromSource() {
   // rebuild_mu_ (held by every caller) serializes builds, so the snapshot
   // read here is exactly what Publish will swap out.
-  const std::shared_ptr<const Versioned> prev =
-      published_.load(std::memory_order_acquire);
+  const std::shared_ptr<const Versioned> prev = LoadPublished();
   const FlatSpcIndex* prev_flat = prev ? &prev->flat : nullptr;
   // Delta copy; the source owns the locking and the dirty bookkeeping.
   FlatSpcIndex::IndexDelta delta = source_(prev_flat);
@@ -187,32 +277,34 @@ SnapshotManager::BuildFromSource() {
 }
 
 void SnapshotManager::Publish(std::shared_ptr<const Versioned> snap) {
-  std::shared_ptr<const Versioned> old =
-      published_.load(std::memory_order_acquire);
-  // Builds are serialized under rebuild_mu_ and each one copies at a
-  // generation at least as fresh as the snapshot it read, so publication
-  // is strictly monotone by construction — a non-increasing generation
-  // here is a protocol bug (e.g. a source returning stale generations),
-  // not a benign race.
-  assert(old == nullptr || snap->generation > old->generation);
-  // Monotone swap: a slow build must never replace a newer snapshot.
-  while (old == nullptr || old->generation < snap->generation) {
-    if (published_.compare_exchange_weak(old, snap,
-                                         std::memory_order_acq_rel)) {
-      if (old != nullptr) retired_.fetch_add(1, std::memory_order_relaxed);
-      published_generation_.store(snap->generation,
-                                  std::memory_order_release);
-      {
-        // Lock between the store and the notify so AwaitGeneration cannot
-        // miss the wakeup; also reset the staleness budget for the fresh
-        // snapshot.
-        std::lock_guard<std::mutex> lock(state_mu_);
-        stale_queries_ = 0;
-      }
-      publish_cv_.notify_all();
+  std::shared_ptr<const Versioned> old;
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    // Builds are serialized under rebuild_mu_ and each one copies at a
+    // generation at least as fresh as the snapshot it read, so
+    // publication is strictly monotone by construction — a
+    // non-increasing generation here is a protocol bug (e.g. a source
+    // returning stale generations), not a benign race.
+    assert(published_ == nullptr ||
+           snap->generation > published_->generation);
+    // Monotone swap: a slow build must never replace a newer snapshot.
+    if (published_ != nullptr && published_->generation >= snap->generation) {
       return;
     }
+    old = std::exchange(published_, snap);
+    published_generation_.store(snap->generation, std::memory_order_release);
   }
+  if (old != nullptr) retired_.fetch_add(1, std::memory_order_relaxed);
+  {
+    // Lock between the store and the notify so AwaitGeneration cannot
+    // miss the wakeup; also reset the staleness budget for the fresh
+    // snapshot.
+    std::lock_guard<std::mutex> lock(state_mu_);
+    stale_queries_ = 0;
+  }
+  publish_cv_.notify_all();
+  // `old` drops here, outside every lock; it is freed unless a pin or a
+  // reader thread's cache slot still holds it.
 }
 
 void SnapshotManager::WorkerLoop() {

@@ -8,17 +8,33 @@
 // staleness budget. The manager closes the gap with an epoch/generation
 // protocol:
 //
-//   pin      Readers pin the currently published snapshot with one atomic
-//            shared_ptr load. A pinned snapshot is immutable and stays
-//            alive for as long as the reader holds it, so pinning never
-//            blocks on maintenance and never observes a torn index.
+//   lease    The query path leases the published snapshot from a small
+//            per-thread cache (kCacheSlots slots, each keyed by a
+//            process-unique manager id and the snapshot's generation). A
+//            slot is valid while its generation equals the published
+//            generation, so a hit costs one read of that read-mostly
+//            atomic and no atomic read-modify-write; only a miss (about
+//            once per publish per thread) copies the published pointer
+//            under a mutex. A Lease borrows the index for one call: it
+//            never touches the refcount, cannot be copied or moved, and
+//            its slot is never refreshed or evicted while it lives — a
+//            nested lease that misses across a publish takes another
+//            slot instead.
+//   pin      Pin() and the refresh/await calls return an owning Pinned,
+//            copied from the cache slot (one refcount increment). A
+//            pinned snapshot stays alive for as long as the holder keeps
+//            it. Neither path blocks on maintenance or sees a torn index.
 //   publish  Each snapshot carries the structural generation of the
 //            mutable index it was built from. New snapshots are published
-//            by an atomic swap; publication is monotone in generation
-//            (a slow rebuild can never roll the serving state backwards).
+//            by a swap under a mutex; publication is monotone in
+//            generation (a slow rebuild can never roll the serving state
+//            backwards).
 //   retire   The swapped-out snapshot is not freed — readers may still
-//            hold pins — it is retired, and the shared_ptr control block
-//            reclaims it when the last pin drops. This is epoch-based
+//            hold pins or cache it — it is retired, and the shared_ptr
+//            control block reclaims it when the last pin drops and every
+//            thread that cached it has moved on: a reader thread drops
+//            its cached copy on its next read of this manager (or when
+//            the slot is evicted, or at thread exit). This is epoch-based
 //            reclamation with the epoch folded into the refcount: no
 //            hazard pointers, no quiescence tracking, no ABA.
 //
@@ -51,8 +67,10 @@
 //                (DynamicSpcIndex::FlatSnapshot) publish.
 //
 // Thread-safety: every method may be called from any number of threads.
-// The manager itself never touches the mutable index directly — it only
-// calls the Source callback, which owns the locking discipline.
+// A Lease belongs to the thread that filled it and must be released on
+// that thread, before the manager is destroyed. The manager itself never
+// touches the mutable index directly — it only calls the Source callback,
+// which owns the locking discipline.
 
 #ifndef DSPC_CORE_SNAPSHOT_MANAGER_H_
 #define DSPC_CORE_SNAPSHOT_MANAGER_H_
@@ -83,6 +101,9 @@ enum class RefreshPolicy {
 class ThreadPool;
 
 class SnapshotManager {
+  struct Versioned;
+  struct CacheSlot;
+
  public:
   /// Produces a consistent delta copy of the mutable index at a point
   /// where no writer is mid-update: label copies for exactly the shards
@@ -105,6 +126,58 @@ class SnapshotManager {
     const FlatSpcIndex& operator*() const { return *snapshot; }
   };
 
+  /// A call-scoped borrow of a published snapshot: the index plus the
+  /// generation it was built from, kept alive by the calling thread's
+  /// snapshot cache instead of a refcount. Declared empty by the caller
+  /// and filled in place by Acquire/Borrow; it cannot be copied or moved,
+  /// so it cannot outlive the call or leave the thread that filled it.
+  /// The manager must outlive it.
+  class Lease {
+   public:
+    Lease() = default;
+    ~Lease() { Release(); }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    explicit operator bool() const { return index_ != nullptr; }
+    const FlatSpcIndex* operator->() const { return index_; }
+    const FlatSpcIndex& operator*() const { return *index_; }
+    uint64_t generation() const { return generation_; }
+
+    /// Ends the borrow early; the lease is empty afterwards. A slot whose
+    /// last lease ends after a publish drops its retired snapshot here.
+    void Release() {
+      if (slot_ != nullptr) {
+        if (--slot_->leases == 0 &&
+            slot_->generation != manager_->PublishedGeneration()) {
+          slot_->Clear();
+        }
+        slot_ = nullptr;
+      }
+      owned_.reset();
+      index_ = nullptr;
+      generation_ = 0;
+    }
+
+   private:
+    friend class SnapshotManager;
+
+    const SnapshotManager* manager_ = nullptr;
+    /// The cache slot this lease borrows from (its lease count is held);
+    /// null when the lease owns its snapshot instead.
+    CacheSlot* slot_ = nullptr;
+    /// Owning fallback: an inline rebuild's result, or the published
+    /// snapshot when every cache slot is already leased.
+    std::shared_ptr<const FlatSpcIndex> owned_;
+    const FlatSpcIndex* index_ = nullptr;
+    uint64_t generation_ = 0;
+  };
+
+  /// Snapshot-cache slots per thread. A thread that reads more managers
+  /// than this (or nests more leases) still gets exact answers; it just
+  /// reloads the published pointer more often.
+  static constexpr size_t kCacheSlots = 4;
+
   /// `source` produces consistent delta copies of the mutable index;
   /// `stale_query_budget` is the number of queries that may observe a
   /// stale snapshot before a rebuild is scheduled (the facade's
@@ -121,17 +194,24 @@ class SnapshotManager {
   RefreshPolicy policy() const { return policy_; }
 
   /// Pins the currently published snapshot (empty before first publish).
-  /// One atomic load; never blocks on maintenance.
+  /// A copy of this thread's cached pointer (one refcount increment);
+  /// never blocks on maintenance.
   Pinned Pin() const;
+
+  /// Leases the currently published snapshot into `lease` (empty before
+  /// first publish), releasing whatever it held. No refcount traffic on a
+  /// cache hit; never blocks, never charges the staleness budget.
+  void Borrow(Lease* lease) const;
 
   /// The query-path entry: charges `queries` observations against the
   /// staleness budget given the caller's current structural generation and
-  /// returns the snapshot those queries should be served from, or an empty
-  /// Pinned when they should ride the mutable index instead (stale under
-  /// kSync/kManual, or nothing published yet). Under kSync a spent budget
-  /// rebuilds inline; under kBackground it schedules the worker and
-  /// returns the current (possibly stale) snapshot immediately.
-  Pinned Acquire(uint64_t current_generation, size_t queries);
+  /// leases into `lease` the snapshot those queries should be served
+  /// from, or leaves it empty when they should ride the mutable index
+  /// instead (stale under kSync/kManual, or nothing published yet). Under
+  /// kSync a spent budget rebuilds inline; under kBackground it schedules
+  /// the worker and leases the current (possibly stale) snapshot
+  /// immediately.
+  void Acquire(uint64_t current_generation, size_t queries, Lease* lease);
 
   /// Charges `queries` stale observations against the budget WITHOUT any
   /// rebuild risk — never blocks, never builds. For callers that must
@@ -216,7 +296,40 @@ class SnapshotManager {
     FlatSpcIndex flat;
   };
 
+  /// One entry of a thread's snapshot cache. Only its own thread touches
+  /// it, so nothing here is atomic.
+  struct CacheSlot {
+    uint64_t manager = 0;     ///< owning manager's id_; 0 = unused
+    uint64_t generation = 0;  ///< generation of `snapshot`
+    uint32_t leases = 0;      ///< live Leases borrowing `snapshot`
+    std::shared_ptr<const Versioned> snapshot;
+
+    void Clear() {
+      manager = 0;
+      generation = 0;
+      snapshot.reset();
+    }
+  };
+
   static Pinned PinOf(const std::shared_ptr<const Versioned>& v);
+
+  struct ThreadCache;
+  /// The calling thread's cache (kCacheSlots slots shared by every
+  /// manager the thread reads).
+  static ThreadCache& LocalCache();
+
+  /// Copies published_ under its mutex (the cache-miss path).
+  std::shared_ptr<const Versioned> LoadPublished() const;
+
+  /// This thread's slot holding the published snapshot, refreshed from
+  /// published_ on a miss (into an unleased slot: this manager's own,
+  /// else an unused one, else round-robin). Null when nothing is
+  /// published or every slot is leased.
+  CacheSlot* CurrentSlot() const;
+
+  /// Fills `lease` with an owning pin (the fallbacks that bypass the
+  /// cache).
+  static void Hold(Pinned pin, Lease* lease);
 
   /// Pulls a delta from source_ (relative to the published snapshot) and
   /// packs the next snapshot, adopting clean shards. Runs under
@@ -225,8 +338,9 @@ class SnapshotManager {
   /// move between the delta copy and the publish.
   std::shared_ptr<const Versioned> BuildFromSource();
 
-  /// Atomically swaps `snap` in if it is newer than the published one;
-  /// resets the staleness budget and wakes AwaitGeneration waiters.
+  /// Swaps `snap` in under published_mu_ if it is newer than the
+  /// published one; resets the staleness budget and wakes
+  /// AwaitGeneration waiters.
   void Publish(std::shared_ptr<const Versioned> snap);
 
   /// Background worker: build whenever requested_generation_ outruns the
@@ -243,10 +357,20 @@ class SnapshotManager {
   /// <= 1 packs serially and never spawns threads.
   const unsigned rebuild_threads_;
 
-  /// The published snapshot. Readers Pin() with one atomic load; Publish
-  /// swaps with compare-exchange so generations only move forward.
-  std::atomic<std::shared_ptr<const Versioned>> published_{nullptr};
-  std::atomic<uint64_t> published_generation_{0};
+  /// Process-unique (never reused, unlike `this`), so a cache slot left
+  /// by a destroyed manager can never validate against a new one.
+  const uint64_t id_;
+
+  /// The published snapshot, guarded by published_mu_. Readers copy it
+  /// only on a cache miss (about once per publish per thread), so a
+  /// plain mutex costs the read path nothing; Publish swaps it only for
+  /// a newer generation.
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const Versioned> published_;
+  /// The cache-validation word every read loads. Stored once per
+  /// publish, under published_mu_ after the swap; on its own line so
+  /// miss-path locking does not evict it from readers.
+  alignas(64) std::atomic<uint64_t> published_generation_{0};
 
   std::atomic<size_t> rebuilds_{0};
   std::atomic<size_t> background_rebuilds_{0};

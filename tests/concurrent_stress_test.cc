@@ -380,6 +380,66 @@ TEST(ConcurrentStressTest, MetricsCountEveryServedReadUnderChurn) {
   EXPECT_EQ(m.updates_rejected, 0u);
 }
 
+// Snapshot leases under churn: four threads read through
+// SpcService::Query (each lease borrowed from its thread's snapshot
+// cache) while the writer applies and publishes one generation at a
+// time. Every answer must be exact for the generation the response
+// claims — a cache slot serving a retired snapshot under a newer
+// generation, or a lease whose snapshot was freed, fails here (and under
+// TSan, as a race).
+TEST(ConcurrentStressTest, ServiceLeasesStayExactWhileWriterPublishes) {
+  const Script script = MakeScript(64, 131, 18, 9, 16);
+  DynamicSpcOptions options;
+  options.snapshot.refresh = RefreshPolicy::kBackground;
+  options.snapshot.rebuild_after_queries = 1;
+  SpcService service(script.start, options);
+
+  constexpr unsigned kReaders = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<size_t> reads{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (unsigned r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire) &&
+             failures.load(std::memory_order_relaxed) == 0) {
+        for (size_t i = 0; i < script.probes.size(); ++i) {
+          const auto [s, t] = script.probes[i];
+          const auto resp = service.Query(s, t);
+          if (!resp.ok() || resp->generation < 1 ||
+              resp->generation > script.MaxGeneration() ||
+              resp->result != script.TruthAt(resp->generation)[i]) {
+            ADD_FAILURE() << "probe " << i << " (" << s << "," << t
+                          << ") wrong for its claimed generation "
+                          << (resp.ok() ? resp->generation : 0);
+            failures.fetch_add(1);
+            return;
+          }
+        }
+        reads.fetch_add(script.probes.size(), std::memory_order_relaxed);
+      }
+    });
+  }
+
+  for (const Update& u : script.updates) {
+    const auto resp = service.ApplyUpdates({&u, 1});
+    ASSERT_TRUE(resp.ok());
+    ASSERT_EQ(resp->applied, 1u);
+    ASSERT_TRUE(service.WaitForSnapshot(resp->token).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    if (failures.load() != 0) break;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(service.engine().snapshots()->PublishedGeneration(),
+            script.MaxGeneration());
+}
+
 TEST(ConcurrentStressTest, RetirementCounterAdvancesUnderChurn) {
   const Script script = MakeScript(48, 73, 12, 6, 8);
   DynamicSpcOptions options;

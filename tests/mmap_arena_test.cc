@@ -29,7 +29,12 @@ namespace {
 
 std::string FreshDir(const std::string& name) {
   FileSystem* fs = FileSystem::Default();
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  // Keyed by the running test too: `ctest -j` runs a fixture's cases as
+  // concurrent processes, and a shared directory lets one case's SetUp
+  // delete the files another is reading.
+  const std::string dir =
+      ::testing::TempDir() + "/" + name + "_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
   (void)fs->CreateDir(dir);
   auto names = fs->ListDir(dir);
   if (names.ok()) {
