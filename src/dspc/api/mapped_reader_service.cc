@@ -5,24 +5,12 @@
 #include <algorithm>
 #include <utility>
 
+#include "dspc/api/read_admission.h"
 #include "dspc/persist/snapshot_arena.h"
 
 namespace dspc {
 
 namespace {
-
-[[gnu::cold, gnu::noinline]] Status BadVertex(const char* what, Vertex v,
-                                              size_t n) {
-  return Status::InvalidArgument(std::string(what) + " vertex id " +
-                                 std::to_string(v) + " outside [0, " +
-                                 std::to_string(n) + ")");
-}
-
-[[gnu::cold, gnu::noinline]] Status NoLiveIndex() {
-  return Status::NotSupported(
-      "kFresh is not servable by a mapped reader (no live index in this "
-      "process); use kSnapshot or kBoundedStaleness");
-}
 
 uint64_t SelfPid() { return static_cast<uint64_t>(::getpid()); }
 
@@ -149,70 +137,39 @@ Status MappedReaderService::RefreshLocked() const {
 Status MappedReaderService::RouteMapped(
     const ReadOptions& options, std::shared_ptr<const Adopted>* cur,
     uint64_t* staleness) const {
-  switch (options.consistency) {
-    case Consistency::kFresh:
-      metrics_.RecordRejected(Status::Code::kNotSupported);
-      return NoLiveIndex();
-
-    case Consistency::kSnapshot: {
-      // No I/O: serve the mapping, report lag against the publisher
-      // generation last observed. The served generation is exact; the
-      // staleness can understate between polls — never overstate
-      // freshness of the *answer*, which is pinned to (*cur)->generation.
-      if ((*cur)->generation < options.min_generation) {
-        metrics_.RecordRejected(Status::Code::kUnavailable);
-        return Status::Unavailable(
-            "mapped snapshot at generation " +
-            std::to_string((*cur)->generation) +
-            " is older than min_generation " +
-            std::to_string(options.min_generation) +
-            " (kSnapshot never remaps inline; Refresh() and retry)");
-      }
-      const uint64_t pub = PublisherGeneration();
-      *staleness =
-          pub > (*cur)->generation ? pub - (*cur)->generation : 0;
-      return Status::OK();
+  // The authority is the publisher generation. kBoundedStaleness must
+  // hold its bound against the *current* one, so it re-reads the
+  // manifest — a bounded answer is never issued off a stale cached
+  // bound. The other modes do no I/O and use the one last observed (so
+  // kSnapshot's staleness can understate between polls; the served
+  // generation is always exact).
+  uint64_t pub = PublisherGeneration();
+  if (options.consistency == Consistency::kBoundedStaleness) {
+    auto state = ReadPubState(fs_, dir_);
+    if (!state.ok()) {
+      metrics_.RecordRejected(Status::Code::kUnavailable);
+      return Status::Unavailable("cannot establish the staleness bound: " +
+                                 state.status().message());
     }
-
-    case Consistency::kBoundedStaleness: {
-      // The bound must hold against the *current* publisher generation,
-      // so the manifest is re-read — a bounded answer is never issued
-      // off a stale cached bound.
-      auto state = ReadPubState(fs_, dir_);
-      if (!state.ok()) {
-        metrics_.RecordRejected(Status::Code::kUnavailable);
-        return Status::Unavailable(
-            "cannot establish the staleness bound: " +
-            state.status().message());
-      }
-      publisher_generation_.store(state->generation,
-                                  std::memory_order_relaxed);
-      const uint64_t pub = state->generation;
-      auto behind = [&](const Adopted& a) {
-        return a.generation < options.min_generation ||
-               (pub > a.generation && pub - a.generation > options.max_lag);
-      };
-      if (behind(**cur)) {
-        // One inline adoption attempt — the closest a reader gets to
-        // SpcService's escalate-to-live.
-        (void)RefreshNow();
-        *cur = Current();
-        if (behind(**cur)) {
-          metrics_.RecordRejected(Status::Code::kUnavailable);
-          return Status::Unavailable(
-              "mapped snapshot at generation " +
-              std::to_string((*cur)->generation) +
-              " cannot satisfy max_lag " + std::to_string(options.max_lag) +
-              " / min_generation " + std::to_string(options.min_generation) +
-              " against publisher generation " + std::to_string(pub));
-        }
-      }
-      *staleness =
-          pub > (*cur)->generation ? pub - (*cur)->generation : 0;
-      return Status::OK();
-    }
+    publisher_generation_.store(state->generation,
+                                std::memory_order_relaxed);
+    pub = state->generation;
   }
-  return Status::InvalidArgument("unknown consistency mode");
+  const ReadFrontier frontier{pub, 0, false};  // no live index here
+  ReadVerdict verdict = AdmitRead(options, frontier, (*cur)->generation);
+  if (verdict == ReadVerdict::kBeyondBound) {
+    // One inline adoption attempt — the closest a reader gets to
+    // SpcService's escalate-to-live.
+    (void)RefreshNow();
+    *cur = Current();
+    verdict = AdmitRead(options, frontier, (*cur)->generation);
+  }
+  if (verdict != ReadVerdict::kServeSnapshot) {
+    return RefuseRead(&metrics_, verdict, options, frontier,
+                      (*cur)->generation);
+  }
+  *staleness = Staleness(pub, (*cur)->generation);
+  return Status::OK();
 }
 
 StatusOr<QueryResponse> MappedReaderService::Query(
@@ -222,8 +179,7 @@ StatusOr<QueryResponse> MappedReaderService::Query(
   if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n)
       [[unlikely]] {
     metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                     static_cast<size_t>(s) >= n ? s : t, n);
+    return BadEndpoint(s, t, n);
   }
   uint64_t staleness = 0;
   if (Status st = RouteMapped(options, &cur, &staleness); !st.ok()) {
@@ -239,17 +195,10 @@ StatusOr<QueryResponse> MappedReaderService::Query(
 StatusOr<BatchQueryResponse> MappedReaderService::QueryBatch(
     std::span<const VertexPair> pairs, const ReadOptions& options) const {
   std::shared_ptr<const Adopted> cur = Current();
-  const size_t n = cur->index->NumVertices();
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto [s, t] = pairs[i];
-    if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n) {
-      metrics_.RecordRejected(Status::Code::kInvalidArgument);
-      const Status bad =
-          BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                    static_cast<size_t>(s) >= n ? s : t, n);
-      return Status::InvalidArgument("pair " + std::to_string(i) + ": " +
-                                     bad.message());
-    }
+  if (auto checked = CheckPairs(pairs, cur->index->NumVertices());
+      !checked.ok()) {
+    metrics_.RecordRejected(Status::Code::kInvalidArgument);
+    return checked.status();
   }
   uint64_t staleness = 0;
   if (Status st = RouteMapped(options, &cur, &staleness); !st.ok()) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "dspc/api/read_admission.h"
 #include "dspc/common/binary_io.h"
 #include "dspc/persist/checkpointer.h"
 #include "dspc/persist/recovery.h"
@@ -51,17 +52,6 @@ Status CheckShippedHeader(std::span<const uint8_t> window, uint64_t seq,
   return Status::OK();
 }
 
-/// Absolute deadline for a non-negative timeout, saturating instead of
-/// overflowing (so nanoseconds::max() means "practically forever").
-std::chrono::steady_clock::time_point SaturatingDeadline(
-    std::chrono::nanoseconds timeout) {
-  const auto now = std::chrono::steady_clock::now();
-  if (timeout >= std::chrono::steady_clock::time_point::max() - now) {
-    return std::chrono::steady_clock::time_point::max();
-  }
-  return now + timeout;
-}
-
 }  // namespace
 
 ReplicaService::ReplicaService(const ReplicaOptions& options)
@@ -72,12 +62,9 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   if (options.transport == nullptr) {
     return Status::InvalidArgument("ReplicaOptions::transport must be set");
   }
-  if (options.engine.rebuild_after_updates != 0 ||
-      options.engine.rebuild_growth_factor != 0.0) {
-    return Status::NotSupported(
-        "replica serving requires the lazy rebuild policy disabled: a "
-        "policy rebuild advances the generation outside the shipped log, "
-        "which would break the replay chain");
+  if (Status st = RequireNoLazyRebuild(options.engine, "replica");
+      !st.ok()) {
+    return st;
   }
   std::unique_ptr<ReplicaService> replica(new ReplicaService(options));
   ReplicationBackoff backoff(options.backoff);
@@ -145,6 +132,7 @@ Status ReplicaService::BootstrapLocked(const ShipState& state) {
   engine_options.initial_generation = ckpt.generation;
   auto fresh = std::make_shared<SpcService>(
       std::move(ckpt.graph), ckpt.index.Unpack(), engine_options);
+  fresh->primary_durable_ = &primary_durable_;
   {
     std::lock_guard<std::mutex> lock(inner_mu_);
     inner_ = std::move(fresh);
@@ -327,82 +315,19 @@ bool ReplicaService::Promoted() const {
 
 StatusOr<QueryResponse> ReplicaService::Query(
     Vertex s, Vertex t, const ReadOptions& options) const {
-  const uint64_t applied = applied_.load(std::memory_order_acquire);
-  const uint64_t primary =
-      std::max(primary_durable_.load(std::memory_order_acquire), applied);
-  ReadOptions inner_options = options;
-  if (Status st = AdmitRead(options, applied, primary, &inner_options);
-      !st.ok()) {
-    return st;
-  }
-  auto resp = Inner()->Query(s, t, inner_options);
-  if (!resp.ok()) return resp;
-  // Staleness on a replica counts from the PRIMARY's durably-acked
-  // generation, not from the replica's own tail — the number a freshness
-  // SLO actually cares about.
-  resp->staleness =
-      primary > resp->generation ? primary - resp->generation : 0;
-  return resp;
+  if (Status st = Health(); !st.ok()) return st;
+  return Inner()->Query(s, t, options);
 }
 
 StatusOr<BatchQueryResponse> ReplicaService::QueryBatch(
     std::span<const VertexPair> pairs, const ReadOptions& options) const {
-  const uint64_t applied = applied_.load(std::memory_order_acquire);
-  const uint64_t primary =
-      std::max(primary_durable_.load(std::memory_order_acquire), applied);
-  ReadOptions inner_options = options;
-  if (Status st = AdmitRead(options, applied, primary, &inner_options);
-      !st.ok()) {
-    return st;
-  }
-  auto resp = Inner()->QueryBatch(pairs, inner_options);
-  if (!resp.ok()) return resp;
-  resp->staleness =
-      primary > resp->generation ? primary - resp->generation : 0;
-  return resp;
-}
-
-Status ReplicaService::AdmitRead(const ReadOptions& options, uint64_t applied,
-                                 uint64_t primary,
-                                 ReadOptions* inner_options) const {
   if (Status st = Health(); !st.ok()) return st;
-  if (options.min_generation > applied) {
-    // The primary issued this token but the replica has not applied that
-    // far yet — refuse instead of serving an answer the token disproves.
-    metrics_.RecordRejected(Status::Code::kUnavailable);
-    return Status::Unavailable(
-        "replica applied through generation " + std::to_string(applied) +
-        ", which trails min_generation " +
-        std::to_string(options.min_generation) +
-        "; retry, or read the primary");
-  }
-  if (options.consistency == Consistency::kBoundedStaleness) {
-    const uint64_t floor =
-        primary > options.max_lag ? primary - options.max_lag : 0;
-    if (applied < floor) {
-      metrics_.RecordRejected(Status::Code::kUnavailable);
-      return Status::Unavailable(
-          "replica too stale for max_lag " + std::to_string(options.max_lag) +
-          ": applied generation " + std::to_string(applied) +
-          " trails the primary's durably-acked " + std::to_string(primary));
-    }
-    // Map the primary-relative bound onto the inner engine, which sits
-    // at `applied`: its snapshot may trail by at most applied - floor
-    // before the caller's global bound is violated.
-    inner_options->max_lag = applied - floor;
-    inner_options->min_generation = std::max(options.min_generation, floor);
-  }
-  return Status::OK();
+  return Inner()->QueryBatch(pairs, options);
 }
 
 MetricsSnapshot ReplicaService::Metrics() const {
   MetricsSnapshot snap = Inner()->Metrics();
   const MetricsSnapshot own = metrics_.Snapshot();
-  // The inner engine's rejection counters miss the replica's own
-  // admission layer; fold it in.
-  snap.rejected_invalid_argument += own.rejected_invalid_argument;
-  snap.rejected_unavailable += own.rejected_unavailable;
-  snap.rejected_not_supported += own.rejected_not_supported;
   snap.repl_ops_applied = own.repl_ops_applied;
   snap.repl_reconnects = own.repl_reconnects;
   snap.repl_backoff_sleeps = own.repl_backoff_sleeps;

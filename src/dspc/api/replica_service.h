@@ -11,16 +11,10 @@
 // recovery would reconstruct: generation-exact, never reflecting a write
 // the primary has not durably acked.
 //
-// Honesty is the contract of the read surface:
-//   - every response's `generation` is the replica's applied generation
-//     (or an older snapshot's, under kSnapshot), and `staleness` is
-//     rewritten to count generations behind the PRIMARY's durably-acked
-//     generation — not behind the replica's own tail;
-//   - kBoundedStaleness{max_lag} is enforced against that primary
-//     generation: a replica more than max_lag behind refuses the read
-//     (kUnavailable) instead of serving it and lying about freshness;
-//   - min_generation (read-your-writes tokens minted by the primary)
-//     refuses with kUnavailable until the replica has applied that far.
+// Reads follow the consistency lattice (DESIGN.md §9) with the primary's
+// durably-acked generation as the authority: staleness and max_lag count
+// from it, and a primary token the replica has not applied is
+// kUnavailable.
 //
 // Robustness: every transport fault is retried with capped exponential
 // backoff + jitter; falling behind the store's retention horizon (the
@@ -95,9 +89,9 @@ class ReplicaService {
  public:
   /// Bootstraps from the newest shipped checkpoint (retrying with
   /// backoff until `bootstrap_timeout`) and, by default, starts tailing.
-  /// kInvalidArgument for a missing transport or lazy-rebuild engine
-  /// options; kDeadlineExceeded when nothing bootstrappable appeared in
-  /// time.
+  /// kInvalidArgument for a missing transport, kNotSupported for
+  /// lazy-rebuild engine options; kDeadlineExceeded when nothing
+  /// bootstrappable appeared in time.
   static StatusOr<std::unique_ptr<ReplicaService>> Open(
       const ReplicaOptions& options);
 
@@ -182,12 +176,6 @@ class ReplicaService {
   /// step_mu_.
   Status ApplyWindowLocked(std::vector<WalRecord> records);
 
-  /// Read admission: sticky-health check, min_generation floor, and the
-  /// kBoundedStaleness primary-relative bound; on OK, *inner_options is
-  /// the options to forward to the inner engine.
-  Status AdmitRead(const ReadOptions& options, uint64_t applied,
-                   uint64_t primary, ReadOptions* inner_options) const;
-
   std::shared_ptr<SpcService> Inner() const;
   void TailLoop();
 
@@ -215,11 +203,11 @@ class ReplicaService {
   std::shared_ptr<SpcService> inner_;
 
   std::atomic<uint64_t> applied_{0};
+  /// The inner service reads it as its lattice authority.
   std::atomic<uint64_t> primary_durable_{0};
 
   /// Replica-side replication counters (ops applied, reconnects,
-  /// backoffs, re-bootstraps, failovers) and read-refusal counts for the
-  /// replica's own admission layer; merged into Metrics().
+  /// backoffs, re-bootstraps, failovers); merged into Metrics().
   mutable ServiceMetrics metrics_;
 
   // Background tailer.

@@ -1,10 +1,13 @@
 #include "dspc/api/spc_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "dspc/api/read_admission.h"
 
 namespace dspc {
 
@@ -20,23 +23,6 @@ static_assert(static_cast<size_t>(Consistency::kFresh) == 0 &&
 
 namespace {
 
-// Error construction is kept out of line (and out of the serving hot
-// path): admission failures build strings, served requests never do.
-[[gnu::cold, gnu::noinline]] Status BadVertex(const char* what, Vertex v,
-                                              size_t n) {
-  return Status::InvalidArgument(std::string(what) + " vertex id " +
-                                 std::to_string(v) + " outside [0, " +
-                                 std::to_string(n) + ")");
-}
-
-[[gnu::cold, gnu::noinline]] Status FutureMinGeneration(uint64_t min_gen,
-                                                        uint64_t gen) {
-  return Status::InvalidArgument(
-      "min_generation " + std::to_string(min_gen) +
-      " exceeds the current generation " + std::to_string(gen) +
-      " — not a token issued by this service");
-}
-
 [[gnu::cold, gnu::noinline]] Status LiveReadDeadlineExceeded() {
   return Status::DeadlineExceeded(
       "live-index read could not acquire the lock before the deadline "
@@ -44,17 +30,75 @@ namespace {
       "kSnapshot/kBoundedStaleness");
 }
 
-/// Absolute deadline of a timed call; callers guard on timeout >= 0
-/// (kNoTimeout never reaches this). Saturates instead of overflowing so
-/// timeout = nanoseconds::max() means "wait practically forever", not a
-/// wrapped-into-the-past instant refusal.
-std::chrono::steady_clock::time_point DeadlineFor(
-    std::chrono::nanoseconds timeout) {
-  const auto now = std::chrono::steady_clock::now();
-  if (timeout >= std::chrono::steady_clock::time_point::max() - now) {
-    return std::chrono::steady_clock::time_point::max();
+/// The lattice's view of a service whose live index is at `live`. A
+/// replica's inner service (`primary_durable` set) counts staleness from
+/// the primary's durably-acked generation and replays tokens it did not
+/// mint; a primary is its own authority.
+[[gnu::always_inline]] inline ReadFrontier FrontierAt(
+    uint64_t live, const std::atomic<uint64_t>* primary_durable) {
+  if (primary_durable == nullptr) [[likely]] return {live, live, true};
+  return {std::max(live, primary_durable->load(std::memory_order_acquire)),
+          live, false};
+}
+
+/// Open/OpenWithState preamble: refuses unusable options, creates the
+/// directory and plans recovery from whatever it holds.
+Status PrepareDurableDir(const DurabilityOptions& durability,
+                         const DynamicSpcOptions& options, FileSystem** fs,
+                         RecoveryPlan* plan) {
+  if (durability.dir.empty()) {
+    return Status::InvalidArgument("DurabilityOptions::dir must be set");
   }
-  return now + timeout;
+  if (Status st = RequireNoLazyRebuild(options, "durable"); !st.ok()) {
+    return st;
+  }
+  *fs = durability.fs != nullptr ? durability.fs : FileSystem::Default();
+  if (Status st = (*fs)->CreateDir(durability.dir); !st.ok()) return st;
+  return PlanRecovery(*fs, durability.dir, plan);
+}
+
+/// Write admission shared by both ApplyUpdates paths: each update with an
+/// endpoint outside [0, n) gets a kRejected report in `resp`; the rest go
+/// to `admitted`, with their input positions in `position`.
+void AdmitUpdates(std::span<const Update> updates, size_t n,
+                  UpdateResponse* resp, std::vector<Update>* admitted,
+                  std::vector<size_t>* position) {
+  resp->reports.resize(updates.size());
+  admitted->reserve(updates.size());
+  position->reserve(updates.size());
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const Edge& e = updates[i].edge;
+    if (static_cast<size_t>(e.u) >= n || static_cast<size_t>(e.v) >= n) {
+      resp->reports[i].outcome = WriteReport::Outcome::kRejected;
+      resp->reports[i].reason =
+          "endpoint vertex id outside [0, NumVertices())";
+      continue;
+    }
+    admitted->push_back(updates[i]);
+    position->push_back(i);
+  }
+}
+
+/// Places the engine's reports for the admitted updates back at their
+/// input positions and tallies the outcomes of the whole call.
+void GatherReports(const std::vector<WriteReport>& sub,
+                   const std::vector<size_t>& position, UpdateResponse* resp) {
+  for (size_t j = 0; j < sub.size(); ++j) {
+    resp->reports[position[j]] = sub[j];
+  }
+  for (const WriteReport& report : resp->reports) {
+    switch (report.outcome) {
+      case WriteReport::Outcome::kApplied:
+        ++resp->applied;
+        break;
+      case WriteReport::Outcome::kNoOp:
+        ++resp->noops;
+        break;
+      case WriteReport::Outcome::kRejected:
+        ++resp->rejected;
+        break;
+    }
+  }
 }
 
 /// Sampled read-latency timing (DESIGN.md §10). Two steady_clock reads
@@ -117,21 +161,10 @@ SpcService::~SpcService() {
 StatusOr<std::unique_ptr<SpcService>> SpcService::Open(
     Graph bootstrap, const DurabilityOptions& durability,
     const DynamicSpcOptions& options) {
-  if (durability.dir.empty()) {
-    return Status::InvalidArgument("DurabilityOptions::dir must be set");
-  }
-  if (options.rebuild_after_updates != 0 ||
-      options.rebuild_growth_factor != 0.0) {
-    return Status::NotSupported(
-        "durable serving requires the lazy rebuild policy disabled: a "
-        "policy rebuild advances the generation outside the WAL, which "
-        "would break replay determinism");
-  }
-  FileSystem* fs =
-      durability.fs != nullptr ? durability.fs : FileSystem::Default();
-  if (Status st = fs->CreateDir(durability.dir); !st.ok()) return st;
+  FileSystem* fs = nullptr;
   RecoveryPlan plan;
-  if (Status st = PlanRecovery(fs, durability.dir, &plan); !st.ok()) {
+  if (Status st = PrepareDurableDir(durability, options, &fs, &plan);
+      !st.ok()) {
     return st;
   }
 
@@ -166,21 +199,10 @@ StatusOr<std::unique_ptr<SpcService>> SpcService::Open(
 StatusOr<std::unique_ptr<SpcService>> SpcService::OpenWithState(
     Graph graph, SpcIndex index, uint64_t generation,
     const DurabilityOptions& durability, const DynamicSpcOptions& options) {
-  if (durability.dir.empty()) {
-    return Status::InvalidArgument("DurabilityOptions::dir must be set");
-  }
-  if (options.rebuild_after_updates != 0 ||
-      options.rebuild_growth_factor != 0.0) {
-    return Status::NotSupported(
-        "durable serving requires the lazy rebuild policy disabled: a "
-        "policy rebuild advances the generation outside the WAL, which "
-        "would break replay determinism");
-  }
-  FileSystem* fs =
-      durability.fs != nullptr ? durability.fs : FileSystem::Default();
-  if (Status st = fs->CreateDir(durability.dir); !st.ok()) return st;
+  FileSystem* fs = nullptr;
   RecoveryPlan plan;
-  if (Status st = PlanRecovery(fs, durability.dir, &plan); !st.ok()) {
+  if (Status st = PrepareDurableDir(durability, options, &fs, &plan);
+      !st.ok()) {
     return st;
   }
   // Adopting external state over an existing durable lineage would
@@ -297,90 +319,77 @@ Status SpcService::ValidateVertex(Vertex v, const char* what) const {
   return BadVertex(what, v, n);
 }
 
-/// The kSnapshot case of RouteRead, out of line: it is the only mode
-/// with refusal (kUnavailable) outcomes, and keeping it out of RouteRead
-/// keeps the kFresh/kBoundedStaleness hot path small enough to inline.
-Status SpcService::RouteSnapshotRead(const ReadOptions& options,
-                                     size_t queries, Vertex max_vertex,
-                                     uint64_t gen,
+Status SpcService::RefuseVertex(const ReadOptions& options,
+                                Status bad) const {
+  // A replica can be asked for a vertex the primary created but the
+  // replica has not applied yet. When the lattice refuses on the live
+  // source alone (a token not yet applied, a live index beyond max_lag),
+  // that retryable refusal is the answer rather than kInvalidArgument.
+  const ReadFrontier frontier =
+      FrontierAt(engine_.Generation(), primary_durable_);
+  const ReadVerdict verdict = AdmitRead(options, frontier, 0);
+  if (verdict != ReadVerdict::kServeLive &&
+      verdict != ReadVerdict::kNoSnapshot) {
+    return RefuseRead(&metrics_, verdict, options, frontier, 0);
+  }
+  metrics_.RecordRejected(Status::Code::kInvalidArgument);
+  return bad;
+}
+
+/// kSnapshot's lease, out of line so RouteRead stays small enough to
+/// inline. It never blocks and never performs maintenance.
+Status SpcService::LeaseSnapshotRead(uint64_t gen, size_t queries,
                                      SnapshotManager::Lease* lease) const {
   // With snapshots disabled no publish can ever happen: that is a
   // configuration error, not a transient one — kUnavailable would invite
   // a retry loop that can never succeed.
   if (!engine_.options().snapshot.enabled) {
+    metrics_.RecordRejected(Status::Code::kNotSupported);
     return Status::NotSupported(
         "kSnapshot reads need snapshots enabled on this service "
         "(SnapshotOptions::enabled)");
   }
-  // Never block: lease whatever is published. Under kBackground the
-  // lease still charges the staleness budget so the worker keeps the
-  // snapshot converging even for pure-snapshot workloads; under
-  // kSync/kManual Acquire could rebuild inline or withhold a stale
-  // snapshot, so take the free borrow instead.
+  // Under kBackground the lease still charges the staleness budget so the
+  // worker keeps the snapshot converging even for pure-snapshot
+  // workloads; under kSync/kManual Acquire could rebuild inline or
+  // withhold a stale snapshot, so take the free borrow instead (nothing
+  // publishes there until other traffic or WaitForSnapshot does).
   if (engine_.snapshots()->policy() == RefreshPolicy::kBackground) {
     engine_.AcquireSnapshot(gen, queries, lease);
   } else {
     engine_.BorrowSnapshot(lease);
   }
-  if (!*lease) {
-    // Under kSync/kManual nothing publishes until some other traffic does
-    // (a budget-crossing kFresh read, or an explicit refresh), so a pure
-    // kSnapshot client must warm the snapshot once — say so instead of
-    // inviting a blind retry.
-    return Status::Unavailable(
-        "kSnapshot read with no published snapshot; warm one with "
-        "WaitForSnapshot({Generation()}) first (under kSync, kFresh "
-        "traffic also publishes eventually)");
-  }
-  if (lease->generation() < options.min_generation) {
-    return Status::Unavailable(
-        "published snapshot at generation " +
-        std::to_string(lease->generation()) + " trails min_generation " +
-        std::to_string(options.min_generation) +
-        "; retry, WaitForSnapshot, or relax to kFresh");
-  }
-  if (max_vertex >= (*lease)->NumVertices()) {
-    return Status::Unavailable(
-        "published snapshot predates vertex " + std::to_string(max_vertex) +
-        "; retry after the next refresh or relax to kFresh");
-  }
-  engine_.YieldForMaintenance(gen, lease->generation());
   return Status::OK();
 }
 
 Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
-                             Vertex max_vertex, uint64_t* generation,
+                             Vertex max_vertex, uint64_t* authority,
                              SnapshotManager::Lease* lease) const {
   const uint64_t gen = engine_.Generation();
-  *generation = gen;
-  if (options.min_generation > gen) [[unlikely]] {
-    metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return FutureMinGeneration(options.min_generation, gen);
+  const ReadFrontier frontier = FrontierAt(gen, primary_durable_);
+  *authority = frontier.authority;
+  if (TokenAhead(options, frontier)) [[unlikely]] {
+    return RefuseRead(&metrics_, AdmitRead(options, frontier, 0), options,
+                      frontier, 0);
   }
 
+  // Lease acquisition. kFresh / kBoundedStaleness acquire budget-charging,
+  // so rebuilds keep getting scheduled.
   if (options.consistency == Consistency::kSnapshot) {
-    Status st = RouteSnapshotRead(options, queries, max_vertex, gen, lease);
-    if (!st.ok()) [[unlikely]] {
-      metrics_.RecordRejected(st.code());
+    if (Status st = LeaseSnapshotRead(gen, queries, lease); !st.ok()) {
+      return st;
     }
-    return st;
-  }
-
-  // kFresh / kBoundedStaleness: acquire (budget-charging, so rebuilds
-  // keep getting scheduled), serve the lease when it satisfies the mode's
-  // bound, ride the live index otherwise — which is current by
-  // definition and therefore satisfies any valid min_generation and any
-  // lag bound.
-  if (options.timeout >= std::chrono::nanoseconds::zero() &&
-      engine_.options().snapshot.enabled &&
-      engine_.snapshots()->policy() == RefreshPolicy::kSync) [[unlikely]] {
+  } else if (options.timeout >= std::chrono::nanoseconds::zero() &&
+             engine_.options().snapshot.enabled &&
+             engine_.snapshots()->policy() == RefreshPolicy::kSync)
+      [[unlikely]] {
     // Under kSync a budget-crossing Acquire rebuilds inline — an
     // unbounded wait on the writer lock inside the snapshot source. A
     // deadline-bounded read must never perform maintenance: take the
-    // free borrow (serving it only if it satisfies the mode below) and
-    // leave the inline rebuild to the next untimed read — but still
-    // charge the staleness budget, so an all-timed workload keeps the
-    // rebuild due instead of pinning staleness forever.
+    // free borrow (served only if the lattice admits it) and leave the
+    // inline rebuild to the next untimed read — but still charge the
+    // staleness budget, so an all-timed workload keeps the rebuild due
+    // instead of pinning staleness forever.
     engine_.BorrowSnapshot(lease);
     if (!*lease || lease->generation() < gen) {
       engine_.ChargeSnapshotBudget(queries);
@@ -388,19 +397,22 @@ Status SpcService::RouteRead(const ReadOptions& options, size_t queries,
   } else {
     engine_.AcquireSnapshot(gen, queries, lease);
   }
-  if (*lease && max_vertex < (*lease)->NumVertices() &&
-      (lease->generation() >= gen ||
-       (options.consistency == Consistency::kBoundedStaleness &&
-        gen - lease->generation() <= options.max_lag &&
-        lease->generation() >= options.min_generation))) {
+
+  // A snapshot that predates a requested vertex cannot serve the read.
+  const uint64_t snapshot =
+      *lease && max_vertex < (*lease)->NumVertices() ? lease->generation()
+                                                     : 0;
+  const ReadVerdict verdict = AdmitRead(options, frontier, snapshot);
+  if (verdict == ReadVerdict::kServeSnapshot) [[likely]] {
     // Same pacing as the engine's own query path: every snapshot-served
     // read donates a timeslice while a writer is mid-update (or the
     // snapshot trails too far), current lease or not.
-    engine_.YieldForMaintenance(gen, lease->generation());
-  } else {
-    lease->Release();
+    engine_.YieldForMaintenance(gen, snapshot);
+    return Status::OK();
   }
-  return Status::OK();
+  lease->Release();
+  if (verdict == ReadVerdict::kServeLive) return Status::OK();
+  return RefuseRead(&metrics_, verdict, options, frontier, snapshot);
 }
 
 StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
@@ -410,15 +422,13 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
   const size_t n = engine_.NumVertices();
   if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n)
       [[unlikely]] {
-    metrics_.RecordRejected(Status::Code::kInvalidArgument);
-    return BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                     static_cast<size_t>(s) >= n ? s : t, n);
+    return RefuseVertex(options, BadEndpoint(s, t, n));
   }
 
   const LatencyTimer timer(SampleReadLatency());
-  uint64_t generation = 0;
+  uint64_t authority = 0;
   SnapshotManager::Lease lease;
-  if (Status st = RouteRead(options, 1, std::max(s, t), &generation, &lease);
+  if (Status st = RouteRead(options, 1, std::max(s, t), &authority, &lease);
       !st.ok()) [[unlikely]] {
     return st;
   }
@@ -427,7 +437,7 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
   // construction + field-by-field overwrite): this path runs per query.
   if (lease) {
     const uint64_t served = lease.generation();
-    const uint64_t staleness = generation > served ? generation - served : 0;
+    const uint64_t staleness = Staleness(authority, served);
     metrics_.RecordRead(options.consistency, ServedFrom::kSnapshot,
                         staleness, 1, false);
     // Hot-pair cache (DESIGN.md §15): keyed by the generation of the
@@ -448,57 +458,42 @@ StatusOr<QueryResponse> SpcService::Query(Vertex s, Vertex t,
   }
   // Live serving — the one read path that can wait on a writer, so the
   // one place the per-call deadline binds. The response generation is
-  // re-read under the lock: a write that finished while we waited is in
+  // read under the lock: a write that finished while we waited is in
   // the answer, so the admission-time value would understate it.
+  SpcResult result;
+  uint64_t generation = 0;
   if (options.timeout >= std::chrono::nanoseconds::zero()) [[unlikely]] {
-    SpcResult result;
-    if (!engine_.QueryLiveBefore(s, t, DeadlineFor(options.timeout),
+    if (!engine_.QueryLiveBefore(s, t, SaturatingDeadline(options.timeout),
                                  &result, &generation)) {
       metrics_.RecordReadDeadlineMiss();
       return LiveReadDeadlineExceeded();
     }
-    metrics_.RecordRead(options.consistency, ServedFrom::kLiveIndex, 0, 1,
-                        false);
-    timer.Finish(&metrics_, options.consistency);
-    return StatusOr<QueryResponse>(std::in_place, result, generation,
-                                   uint64_t{0}, ServedFrom::kLiveIndex);
+  } else {
+    result = engine_.QueryLive(s, t, &generation);
   }
-  const SpcResult live = engine_.QueryLive(s, t, &generation);
-  metrics_.RecordRead(options.consistency, ServedFrom::kLiveIndex, 0, 1,
-                      false);
+  const uint64_t staleness = Staleness(authority, generation);
+  metrics_.RecordRead(options.consistency, ServedFrom::kLiveIndex, staleness,
+                      1, false);
   timer.Finish(&metrics_, options.consistency);
-  return StatusOr<QueryResponse>(std::in_place, live, generation,
-                                 uint64_t{0}, ServedFrom::kLiveIndex);
+  return StatusOr<QueryResponse>(std::in_place, result, generation,
+                                 staleness, ServedFrom::kLiveIndex);
 }
 
 StatusOr<BatchQueryResponse> SpcService::QueryBatch(
     std::span<const VertexPair> pairs, const ReadOptions& options) const {
-  const size_t n = engine_.NumVertices();
-  Vertex max_vertex = 0;
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto [s, t] = pairs[i];
-    if (static_cast<size_t>(s) >= n || static_cast<size_t>(t) >= n) {
-      metrics_.RecordRejected(Status::Code::kInvalidArgument);
-      const Status bad =
-          BadVertex(static_cast<size_t>(s) >= n ? "source" : "target",
-                    static_cast<size_t>(s) >= n ? s : t, n);
-      return Status::InvalidArgument("pair " + std::to_string(i) + ": " +
-                                     bad.message());
-    }
-    max_vertex = std::max({max_vertex, s, t});
-  }
+  const StatusOr<Vertex> max_vertex = CheckPairs(pairs, engine_.NumVertices());
+  if (!max_vertex.ok()) return RefuseVertex(options, max_vertex.status());
 
   // Batches always time: the call amortizes the two clock reads.
   const LatencyTimer timer(true);
-  uint64_t generation = 0;
+  uint64_t authority = 0;
   SnapshotManager::Lease lease;
   if (Status st =
-          RouteRead(options, pairs.size(), max_vertex, &generation, &lease);
+          RouteRead(options, pairs.size(), *max_vertex, &authority, &lease);
       !st.ok()) {
     return st;
   }
 
-  const bool timed = options.timeout >= std::chrono::nanoseconds::zero();
   StatusOr<BatchQueryResponse> out(std::in_place);
   if (lease) {
     // Batches bypass the pair cache deliberately: the parallel fan-out
@@ -515,25 +510,22 @@ StatusOr<BatchQueryResponse> SpcService::QueryBatch(
         pairs, options.threads,
         engine_.PoolForBatch(pairs.size(), options.threads));
     out->generation = lease.generation();
-    out->staleness = generation > lease.generation()
-                         ? generation - lease.generation()
-                         : 0;
     out->served_from = ServedFrom::kSnapshot;
   } else {
-    if (timed) [[unlikely]] {
+    if (options.timeout >= std::chrono::nanoseconds::zero()) [[unlikely]] {
       if (!engine_.BatchQueryLiveBefore(pairs, options.threads,
-                                        DeadlineFor(options.timeout),
-                                        &out->results, &generation)) {
+                                        SaturatingDeadline(options.timeout),
+                                        &out->results, &out->generation)) {
         metrics_.RecordReadDeadlineMiss();
         return LiveReadDeadlineExceeded();
       }
     } else {
       out->results =
-          engine_.BatchQueryLive(pairs, options.threads, &generation);
+          engine_.BatchQueryLive(pairs, options.threads, &out->generation);
     }
-    out->generation = generation;
     out->served_from = ServedFrom::kLiveIndex;
   }
+  out->staleness = Staleness(authority, out->generation);
   metrics_.RecordRead(options.consistency, out->served_from, out->staleness,
                       pairs.size(), true);
   timer.Finish(&metrics_, options.consistency);
@@ -550,58 +542,14 @@ StatusOr<UpdateResponse> SpcService::ApplyUpdatesPlain(
     std::span<const Update> updates) {
   // Admission is per update: out-of-range endpoints are rejected
   // individually (kRejected report) while the valid remainder applies.
-  const size_t n = engine_.NumVertices();
-  size_t invalid = 0;
-  for (const Update& u : updates) {
-    if (static_cast<size_t>(u.edge.u) >= n ||
-        static_cast<size_t>(u.edge.v) >= n) {
-      ++invalid;
-    }
-  }
-
   StatusOr<UpdateResponse> out(std::in_place);
   UpdateResponse& resp = *out;
-  if (invalid == 0) {
-    resp.stats = engine_.ApplyBatch(updates, &resp.reports);
-  } else {
-    // Scatter/gather: apply the admitted subset, then place its reports
-    // back at the original input positions.
-    resp.reports.resize(updates.size());
-    std::vector<Update> admitted;
-    std::vector<size_t> position;
-    admitted.reserve(updates.size() - invalid);
-    position.reserve(updates.size() - invalid);
-    for (size_t i = 0; i < updates.size(); ++i) {
-      const Edge& e = updates[i].edge;
-      if (static_cast<size_t>(e.u) >= n || static_cast<size_t>(e.v) >= n) {
-        resp.reports[i].outcome = WriteReport::Outcome::kRejected;
-        resp.reports[i].reason =
-            "endpoint vertex id outside [0, NumVertices())";
-        continue;
-      }
-      admitted.push_back(updates[i]);
-      position.push_back(i);
-    }
-    std::vector<WriteReport> sub;
-    resp.stats = engine_.ApplyBatch(admitted, &sub);
-    for (size_t j = 0; j < sub.size(); ++j) {
-      resp.reports[position[j]] = sub[j];
-    }
-  }
-
-  for (const WriteReport& report : resp.reports) {
-    switch (report.outcome) {
-      case WriteReport::Outcome::kApplied:
-        ++resp.applied;
-        break;
-      case WriteReport::Outcome::kNoOp:
-        ++resp.noops;
-        break;
-      case WriteReport::Outcome::kRejected:
-        ++resp.rejected;
-        break;
-    }
-  }
+  std::vector<Update> admitted;
+  std::vector<size_t> position;
+  AdmitUpdates(updates, engine_.NumVertices(), &resp, &admitted, &position);
+  std::vector<WriteReport> sub;
+  resp.stats = engine_.ApplyBatch(admitted, &sub);
+  GatherReports(sub, position, &resp);
   resp.token.generation = engine_.Generation();
   metrics_.RecordWrite(updates.size(), resp.applied, resp.noops,
                        resp.rejected);
@@ -625,6 +573,9 @@ StatusOr<UpdateResponse> SpcService::ApplyUpdatesDurable(
   }
   StatusOr<UpdateResponse> out(std::in_place);
   UpdateResponse& resp = *out;
+  std::vector<Update> admitted;
+  std::vector<size_t> position;
+  std::vector<WriteReport> sub;
   uint64_t commit_offset = 0;
   std::shared_ptr<WalWriter> wal;
   {
@@ -637,23 +588,7 @@ StatusOr<UpdateResponse> SpcService::ApplyUpdatesDurable(
       metrics_.RecordRejected(dur_error_.code());
       return dur_error_;
     }
-    const size_t n = engine_.NumVertices();
-    resp.reports.resize(updates.size());
-    std::vector<Update> admitted;
-    std::vector<size_t> position;
-    admitted.reserve(updates.size());
-    position.reserve(updates.size());
-    for (size_t i = 0; i < updates.size(); ++i) {
-      const Edge& e = updates[i].edge;
-      if (static_cast<size_t>(e.u) >= n || static_cast<size_t>(e.v) >= n) {
-        resp.reports[i].outcome = WriteReport::Outcome::kRejected;
-        resp.reports[i].reason =
-            "endpoint vertex id outside [0, NumVertices())";
-        continue;
-      }
-      admitted.push_back(updates[i]);
-      position.push_back(i);
-    }
+    AdmitUpdates(updates, engine_.NumVertices(), &resp, &admitted, &position);
     resp.token.generation = engine_.Generation();
     if (!admitted.empty()) {
       // Intent before apply, commit (with per-update outcomes) after:
@@ -667,7 +602,6 @@ StatusOr<UpdateResponse> SpcService::ApplyUpdatesDurable(
       if (auto off = AppendWalLocked(EncodeWalRecord(intent)); !off.ok()) {
         return off.status();
       }
-      std::vector<WriteReport> sub;
       resp.stats = engine_.ApplyBatch(admitted, &sub);
       WalRecord commit;
       commit.kind = WalRecord::Kind::kCommit;
@@ -678,9 +612,6 @@ StatusOr<UpdateResponse> SpcService::ApplyUpdatesDurable(
         commit.outcomes[j] = sub[j].applied() ? 1 : 0;
       }
       auto off = AppendWalLocked(EncodeWalRecord(commit));
-      for (size_t j = 0; j < sub.size(); ++j) {
-        resp.reports[position[j]] = sub[j];
-      }
       resp.token.generation = commit.generation;
       // The engine applied either way, but a write whose commit record
       // never reached the log must not be acknowledged: recovery would
@@ -693,19 +624,7 @@ StatusOr<UpdateResponse> SpcService::ApplyUpdatesDurable(
     MaybeTriggerCheckpointLocked();
   }
 
-  for (const WriteReport& report : resp.reports) {
-    switch (report.outcome) {
-      case WriteReport::Outcome::kApplied:
-        ++resp.applied;
-        break;
-      case WriteReport::Outcome::kNoOp:
-        ++resp.noops;
-        break;
-      case WriteReport::Outcome::kRejected:
-        ++resp.rejected;
-        break;
-    }
-  }
+  GatherReports(sub, position, &resp);
   metrics_.RecordWrite(updates.size(), resp.applied, resp.noops,
                        resp.rejected);
   if (write.durable) {
@@ -1015,7 +934,8 @@ Status SpcService::WaitForSnapshot(WriteToken token,
   if (timeout < std::chrono::nanoseconds::zero()) {
     return WaitForSnapshotUntil(token, /*timed=*/false, {});
   }
-  return WaitForSnapshotUntil(token, /*timed=*/true, DeadlineFor(timeout));
+  return WaitForSnapshotUntil(token, /*timed=*/true,
+                              SaturatingDeadline(timeout));
 }
 
 MetricsSnapshot SpcService::Metrics() const {

@@ -10,24 +10,9 @@
 //               instead of undefined behavior, a min_generation from the
 //               future is rejected instead of silently unsatisfiable.
 //   freshness   Every read carries ReadOptions{consistency, ...} choosing
-//               a point on the freshness/latency lattice:
-//                 kFresh             answers reflect every update admitted
-//                                    before the read; may ride the mutable
-//                                    index (and thus briefly wait for an
-//                                    in-flight writer).
-//                 kSnapshot          answers come from the pinned published
-//                                    snapshot and NEVER block — not on
-//                                    writers, not on maintenance. May be
-//                                    stale; unservable requests (nothing
-//                                    published, snapshot too old for
-//                                    min_generation, vertex newer than the
-//                                    snapshot) return kUnavailable instead
-//                                    of waiting.
-//                 kBoundedStaleness  snapshot-served while the snapshot is
-//                                    within max_lag generations of the
-//                                    index (and >= min_generation);
-//                                    otherwise escalates to the live index,
-//                                    which always satisfies both bounds.
+//               a point on the consistency lattice: kFresh, kSnapshot or
+//               kBoundedStaleness (DESIGN.md §9 has the mode × source
+//               table; read_admission.h implements it).
 //   tokens      Every write returns a WriteToken carrying the structural
 //               generation it advanced the index to. A later read passes
 //               token.generation as ReadOptions::min_generation and is
@@ -63,6 +48,7 @@
 #ifndef DSPC_API_SPC_SERVICE_H_
 #define DSPC_API_SPC_SERVICE_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -91,8 +77,7 @@
 
 namespace dspc {
 
-/// The freshness contract of one read. See the file comment for the full
-/// lattice.
+/// The freshness contract of one read (the lattice: DESIGN.md §9).
 ///
 /// kSnapshot requires a published snapshot to exist: under kBackground
 /// one is published eagerly at construction, but under kSync/kManual the
@@ -470,22 +455,27 @@ class SpcService {
   DynamicSpcIndex& engine() { return engine_; }
 
  private:
-  /// Shared read-routing: resolves which source should serve a read of
-  /// `queries` queries under `options`. On OK, *lease holds the snapshot
-  /// to serve (empty => the live index) and *generation holds the
-  /// admission generation. Out-params instead of a StatusOr<struct>, and forced
-  /// inlining into its two callers, keep the single-query hot path free
-  /// of wrapper construction and call overhead while the routing logic
-  /// stays written exactly once.
+  friend class ReplicaService;  // sets primary_durable_ at bootstrap
+
+  /// Shared read-routing: leases a snapshot and lets the lattice
+  /// (read_admission.h) pick the source of a read of `queries` queries.
+  /// On OK, *lease holds the snapshot to serve (empty => the live index)
+  /// and *authority the generation staleness counts from. Out-params
+  /// instead of a StatusOr<struct>, and forced inlining into its two
+  /// callers, keep the single-query hot path free of wrapper
+  /// construction and call overhead.
   [[gnu::always_inline]] inline Status RouteRead(
       const ReadOptions& options, size_t queries, Vertex max_vertex,
-      uint64_t* generation, SnapshotManager::Lease* lease) const;
+      uint64_t* authority, SnapshotManager::Lease* lease) const;
 
-  /// kSnapshot routing (the only mode with refusal outcomes), split out
-  /// so RouteRead's hot path stays small.
-  Status RouteSnapshotRead(const ReadOptions& options, size_t queries,
-                           Vertex max_vertex, uint64_t generation,
+  /// kSnapshot's lease (never blocking, never maintaining), split out so
+  /// RouteRead's hot path stays small. kNotSupported with snapshots off.
+  Status LeaseSnapshotRead(uint64_t generation, size_t queries,
                            SnapshotManager::Lease* lease) const;
+
+  /// The refusal of a read naming an out-of-range vertex: `bad`, unless
+  /// the lattice already refuses the read on the live source alone.
+  Status RefuseVertex(const ReadOptions& options, Status bad) const;
 
   Status ValidateVertex(Vertex v, const char* what) const;
 
@@ -506,8 +496,8 @@ class SpcService {
   Status StartDurability(const DurabilityOptions& durability,
                          const RecoveryPlan& plan);
 
-  /// The non-durable ApplyUpdates body (also the durable path's final
-  /// shape — kept verbatim so the non-durable service is untouched).
+  /// The non-durable ApplyUpdates body. Both bodies share the per-update
+  /// admission (AdmitUpdates) and report tally (GatherReports).
   StatusOr<UpdateResponse> ApplyUpdatesPlain(std::span<const Update> updates);
 
   /// Durable ApplyUpdates: intent record → engine apply → commit record
@@ -595,6 +585,11 @@ class SpcService {
   bool stop_checkpointer_ = false;     ///< under dur_mu_
 
   RecoveryReport recovery_report_;
+
+  /// Null on a primary. On a replica's inner service, the replica's
+  /// durably-acked primary generation: staleness counts from it, and a
+  /// token this service has not reached is pending, not forged.
+  const std::atomic<uint64_t>* primary_durable_ = nullptr;
 };
 
 }  // namespace dspc
